@@ -37,7 +37,7 @@ let check_execution ?(require_all_decided = false) ?(deadlock_free = true)
   in
   let _, _, undecided = History.count_outcomes history in
   {
-    serialization = Serialization.check history;
+    serialization = Serialization.check_records history txns;
     divergences = Convergence.check stores;
     ro_conflict_aborts;
     deadlock_aborts;

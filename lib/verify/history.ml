@@ -116,11 +116,14 @@ let sites_applied t =
   Hashtbl.fold (fun s _ acc -> s :: acc) t.applies []
   |> List.sort Net.Site_id.compare
 
+(* Counted from the cells: no record is frozen. *)
 let count_outcomes t =
-  List.fold_left
-    (fun (c, a, u) r ->
-      match r.outcome with
-      | Some Committed -> (c + 1, a, u)
-      | Some (Aborted _) -> (c, a + 1, u)
-      | None -> (c, a, u + 1))
-    (0, 0, 0) (txns t)
+  let committed = ref 0 and aborted = ref 0 and undecided = ref 0 in
+  Db.Txn_id.Tbl.iter
+    (fun _ c ->
+      match c.c_outcome with
+      | Some Committed -> incr committed
+      | Some (Aborted _) -> incr aborted
+      | None -> incr undecided)
+    t.cells;
+  (!committed, !aborted, !undecided)

@@ -24,15 +24,6 @@ let pp_violation ppf = function
     Format.fprintf ppf "serialization cycle: %s"
       (String.concat " -> " (List.map Txn_id.to_string cycle))
 
-(* The writer sequence of [key] at [site]: its apply log filtered to
-   transactions that wrote the key. *)
-let writer_sequence history ~site ~writers key =
-  History.apply_order history ~site
-  |> List.filter (fun txn ->
-         match Txn_id.Map.find_opt txn writers with
-         | Some keys -> List.mem key keys
-         | None -> false)
-
 (* One sequence must be a prefix of the other: a site that lags has seen
    fewer installs, but never a different order. *)
 let rec consistent_prefix a b =
@@ -40,18 +31,30 @@ let rec consistent_prefix a b =
   | [], _ | _, [] -> true
   | x :: a', y :: b' -> Txn_id.equal x y && consistent_prefix a' b'
 
-let check history =
+(* A key's writer sequences while the apply logs are walked site by site,
+   in ascending site order: [rev] is the current site's sequence, newest
+   first; [done_] holds the finished sites' sequences, last site first. *)
+type sequences = {
+  mutable site : Net.Site_id.t;
+  mutable rev : Txn_id.t list;
+  mutable done_ : (Net.Site_id.t * Txn_id.t list) list;
+}
+
+(* A key's version order — the longest site sequence — with each writer's
+   first position in it, so the overwriter of a read version is O(1). *)
+type version_order = { writers : Txn_id.t array; first : int Txn_id.Tbl.t }
+
+let check_records history txns =
   let violations = ref [] in
-  let sites = History.sites_applied history in
-  let applied_set =
-    List.fold_left
-      (fun acc site ->
-        List.fold_left
-          (fun acc txn -> Txn_id.Set.add txn acc)
-          acc
-          (History.apply_order history ~site))
-      Txn_id.Set.empty sites
+  let logs =
+    List.map
+      (fun site -> (site, History.apply_order history ~site))
+      (History.sites_applied history)
   in
+  let applied = Txn_id.Tbl.create 256 in
+  List.iter
+    (fun (_, log) -> List.iter (fun txn -> Txn_id.Tbl.replace applied txn ()) log)
+    logs;
   (* Committed = reported committed, or installed somewhere (origin may
      have died before learning the group's decision). Installed + reported
      aborted is a protocol bug. *)
@@ -61,119 +64,131 @@ let check history =
         match r.History.outcome with
         | Some History.Committed -> true
         | Some (History.Aborted _) ->
-          if Txn_id.Set.mem r.History.txn applied_set then
+          if Txn_id.Tbl.mem applied r.History.txn then
             violations := Applied_but_aborted r.History.txn :: !violations;
           false
-        | None -> Txn_id.Set.mem r.History.txn applied_set)
-      (History.txns history)
+        | None -> Txn_id.Tbl.mem applied r.History.txn)
+      txns
   in
-  let committed_set =
-    List.fold_left
-      (fun acc r -> Txn_id.Set.add r.History.txn acc)
-      Txn_id.Set.empty committed
-  in
-  (* keys written per committed txn *)
-  let writers =
-    List.fold_left
-      (fun acc r ->
-        Txn_id.Map.add r.History.txn (List.map fst r.History.writes) acc)
-      Txn_id.Map.empty committed
-  in
+  (* keys written per committed txn, deduplicated *)
+  let writers = Txn_id.Tbl.create 256 in
+  List.iter
+    (fun r ->
+      Txn_id.Tbl.replace writers r.History.txn
+        (List.sort_uniq Int.compare (List.map fst r.History.writes)))
+    committed;
+  let is_committed txn = Txn_id.Tbl.mem writers txn in
   (* 1. reads-from must point at committed transactions *)
   List.iter
     (fun r ->
       List.iter
         (fun { History.read_from; _ } ->
           match read_from with
-          | Some w when not (Txn_id.Set.mem w committed_set) ->
+          | Some w when not (is_committed w) ->
             violations :=
               Read_from_uncommitted { reader = r.History.txn; writer = w }
               :: !violations
           | Some _ | None -> ())
         r.History.reads)
     committed;
-  (* 2. reconstruct a version order per key and check sites agree *)
-  let all_keys =
-    List.concat_map (fun r -> List.map fst r.History.writes) committed
-    |> List.sort_uniq Int.compare
-  in
-  let version_order =
-    List.map
-      (fun key ->
-        let sequences =
-          List.map
-            (fun site -> (site, writer_sequence history ~site ~writers key))
-            sites
-        in
-        let rec cross = function
-          | [] -> ()
-          | (site_a, seq_a) :: rest ->
+  (* 2. every key's writer sequence at every site, in one pass over each
+     apply log: a site's sequence for a key is its log filtered to the
+     transactions that wrote the key *)
+  let per_key = Hashtbl.create 256 in
+  List.iter
+    (fun (site, log) ->
+      List.iter
+        (fun txn ->
+          match Txn_id.Tbl.find_opt writers txn with
+          | None -> ()
+          | Some keys ->
             List.iter
-              (fun (site_b, seq_b) ->
-                if not (consistent_prefix seq_a seq_b) then
-                  violations :=
-                    Divergent_install_order { key; site_a; site_b }
-                    :: !violations)
-              rest;
-            cross rest
-        in
-        cross sequences;
-        let longest =
-          List.fold_left
-            (fun best (_, seq) ->
-              if List.length seq > List.length best then seq else best)
-            [] sequences
-        in
-        (key, longest))
-      all_keys
+              (fun key ->
+                match Hashtbl.find_opt per_key key with
+                | None -> Hashtbl.add per_key key { site; rev = [ txn ]; done_ = [] }
+                | Some s when Net.Site_id.equal s.site site -> s.rev <- txn :: s.rev
+                | Some s ->
+                  s.done_ <- (s.site, List.rev s.rev) :: s.done_;
+                  s.site <- site;
+                  s.rev <- [ txn ])
+              keys)
+        log)
+    logs;
+  (* then check the sites agree, key by key in ascending order; sites that
+     never installed the key agree with everyone and are left out *)
+  let keys =
+    Hashtbl.fold (fun key _ acc -> key :: acc) per_key [] |> List.sort Int.compare
   in
-  let order_of key =
-    Option.value ~default:[] (List.assoc_opt key version_order)
-  in
+  let orders = Hashtbl.create (List.length keys) in
+  List.iter
+    (fun key ->
+      let s = Hashtbl.find per_key key in
+      let sequences = List.rev ((s.site, List.rev s.rev) :: s.done_) in
+      let rec cross = function
+        | [] -> ()
+        | (site_a, seq_a) :: rest ->
+          List.iter
+            (fun (site_b, seq_b) ->
+              if not (consistent_prefix seq_a seq_b) then
+                violations :=
+                  Divergent_install_order { key; site_a; site_b } :: !violations)
+            rest;
+          cross rest
+      in
+      cross sequences;
+      let longest, _ =
+        List.fold_left
+          (fun (best, best_len) (_, seq) ->
+            let len = List.length seq in
+            if len > best_len then (seq, len) else (best, best_len))
+          ([], 0) sequences
+      in
+      let writers = Array.of_list longest in
+      let first = Txn_id.Tbl.create (Array.length writers) in
+      Array.iteri
+        (fun i txn -> if not (Txn_id.Tbl.mem first txn) then Txn_id.Tbl.add first txn i)
+        writers;
+      Hashtbl.add orders key { writers; first })
+    keys;
   (* 3. build the serialization graph *)
   let edges = ref [] in
   let add_edge a b = if not (Txn_id.equal a b) then edges := (a, b) :: !edges in
   (* write-write: consecutive writers *)
-  List.iter
-    (fun (_, seq) ->
-      let rec pairs = function
-        | a :: (b :: _ as rest) ->
-          add_edge a b;
-          pairs rest
-        | [ _ ] | [] -> ()
-      in
-      pairs seq)
-    version_order;
+  Hashtbl.iter
+    (fun _ { writers; _ } ->
+      for i = 1 to Array.length writers - 1 do
+        add_edge writers.(i - 1) writers.(i)
+      done)
+    orders;
   (* write-read and read-write *)
   List.iter
     (fun r ->
       List.iter
         (fun { History.read_key; read_from } ->
           (match read_from with
-          | Some w when Txn_id.Set.mem w committed_set -> add_edge w r.History.txn
+          | Some w when is_committed w -> add_edge w r.History.txn
           | Some _ | None -> ());
           (* the writer that overwrote the version we read *)
-          let seq = order_of read_key in
-          let overwriter =
-            match read_from with
-            | None -> (match seq with first :: _ -> Some first | [] -> None)
-            | Some w ->
-              let rec after = function
-                | x :: next :: _ when Txn_id.equal x w -> Some next
-                | _ :: rest -> after rest
-                | [] -> None
-              in
-              after seq
-          in
-          match overwriter with
-          | Some o -> add_edge r.History.txn o
-          | None -> ())
+          match Hashtbl.find_opt orders read_key with
+          | None -> ()
+          | Some { writers; first } ->
+            let next =
+              match read_from with
+              | None -> 0
+              | Some w -> (
+                match Txn_id.Tbl.find_opt first w with
+                | Some i -> i + 1
+                | None -> Array.length writers)
+            in
+            if next < Array.length writers then add_edge r.History.txn writers.(next))
         r.History.reads)
     committed;
-  (* 4. cycle detection *)
+  (* 4. cycle detection; the cycle found depends only on the edge set *)
   (match Db.Deadlock.find_cycle !edges with
   | Some cycle -> violations := Cycle cycle :: !violations
   | None -> ());
   List.rev !violations
+
+let check history = check_records history (History.txns history)
 
 let is_one_copy_serializable history = check history = []

@@ -14,7 +14,14 @@
     The checker also flags histories that are broken before graph
     construction: reads from uncommitted transactions, and replicas that
     installed the writers of some key in different orders (a one-copy
-    equivalence violation on its own). *)
+    equivalence violation on its own).
+
+    Cost is linear in the history: each site's apply log is walked once to
+    build every key's per-site writer sequence, a key's version order is
+    an array with each writer's first position indexed, and the cycle
+    search is one depth-first pass over the edges (O(applies x keys per
+    transaction + reads + edges), up to the sort of the keys and of each
+    node's successors). *)
 
 type violation =
   | Read_from_uncommitted of { reader : Db.Txn_id.t; writer : Db.Txn_id.t }
@@ -35,5 +42,9 @@ val check : History.t -> violation list
     information can tell). A transaction whose write set was installed at
     some site counts as committed even if its origin crashed before
     reporting an outcome — the decision belongs to the surviving group. *)
+
+val check_records : History.t -> History.txn_record list -> violation list
+(** [check_records h (History.txns h)] is [check h], for callers that
+    already froze the history's records. *)
 
 val is_one_copy_serializable : History.t -> bool

@@ -297,6 +297,199 @@ let prop_swapped_install_rejected =
       end)
 
 (* ------------------------------------------------------------------ *)
+(* Oracle equivalence: the linear-time checker against the pre-rewrite
+   one ([Serialization_reference]) on random, mostly broken histories. *)
+
+module R = Serialization_reference
+
+let shuffle rng a =
+  for i = Array.length a - 1 downto 1 do
+    let j = Sim.Rng.int rng (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done
+
+(* 1-4 sites, a small key space so writers collide, and every way a
+   recorded history can go wrong: aborted and undecided transactions,
+   some installed anyway; reads from any earlier transaction, committed or
+   not, or from the initial version; per-site apply logs that are shuffled
+   (divergence), cut short (lagging prefix), carry duplicate applies, or
+   were reset and re-recorded; and planted write-skew and lost-update
+   pairs. *)
+let gen_random_history seed =
+  let rng = Sim.Rng.create ~seed in
+  let n_sites = 1 + Sim.Rng.int rng 4 in
+  let n_keys = 2 + Sim.Rng.int rng 5 in
+  let h = H.create () in
+  let n_txns = 1 + Sim.Rng.int rng 14 in
+  let txns = Array.init n_txns (fun i -> txn (Sim.Rng.int rng n_sites) (i + 1)) in
+  let installed = ref [] in
+  let earlier i = if i = 0 then None else Some txns.(Sim.Rng.int rng i) in
+  Array.iteri
+    (fun i t ->
+      H.begin_txn h t ~origin:t.Txn.origin;
+      for _ = 1 to Sim.Rng.int rng 4 do
+        let from = if Sim.Rng.int rng 3 = 0 then None else earlier i in
+        H.record_read h t (Sim.Rng.int rng n_keys) ~from
+      done;
+      (* duplicate keys in a write set are kept: the checker must treat
+         them as one *)
+      H.record_writes h t
+        (List.init (Sim.Rng.int rng 4) (fun _ -> (Sim.Rng.int rng n_keys, i)));
+      match Sim.Rng.int rng 10 with
+      | 0 | 1 ->
+        (* aborted, and sometimes installed anyway *)
+        H.record_outcome h t (H.Aborted H.Write_conflict);
+        if Sim.Rng.int rng 4 = 0 then installed := t :: !installed
+      | 2 ->
+        (* undecided, and installed or not *)
+        if Sim.Rng.bool rng then installed := t :: !installed
+      | _ ->
+        H.record_outcome h t H.Committed;
+        installed := t :: !installed)
+    txns;
+  (* planted anomalies on keys 0 and 1; both writers commit and are installed *)
+  let planted = Array.init 2 (fun j -> txn 0 (n_txns + 1 + j)) in
+  (match Sim.Rng.int rng 3 with
+  | 0 ->
+    (* write skew: each reads the initial version of the key the other
+       writes *)
+    Array.iteri
+      (fun j t ->
+        H.begin_txn h t ~origin:0;
+        H.record_read h t j ~from:None;
+        H.record_writes h t [ (1 - j, j) ];
+        H.record_outcome h t H.Committed;
+        installed := t :: !installed)
+      planted
+  | 1 ->
+    (* lost update: both read the initial version of key 0 and write it *)
+    Array.iter
+      (fun t ->
+        H.begin_txn h t ~origin:0;
+        H.record_read h t 0 ~from:None;
+        H.record_writes h t [ (0, 1) ];
+        H.record_outcome h t H.Committed;
+        installed := t :: !installed)
+      planted
+  | _ -> ());
+  let installed = Array.of_list (List.rev !installed) in
+  for site = 0 to n_sites - 1 do
+    let log = Array.copy installed in
+    if Sim.Rng.int rng 3 = 0 then shuffle rng log;
+    let len =
+      if Sim.Rng.int rng 3 = 0 then Sim.Rng.int rng (Array.length log + 1)
+      else Array.length log
+    in
+    let record () =
+      for i = 0 to len - 1 do
+        H.record_apply h ~site log.(i);
+        if Sim.Rng.int rng 8 = 0 then H.record_apply h ~site log.(i)
+      done
+    in
+    match Sim.Rng.int rng 6 with
+    | 0 ->
+      (* a recovering site drops its pre-crash log and replays a new one *)
+      if Array.length installed > 0 then
+        H.record_apply h ~site installed.(Sim.Rng.int rng (Array.length installed));
+      H.reset_applies h ~site;
+      record ()
+    | 1 ->
+      record ();
+      H.reset_applies h ~site
+    | _ -> record ()
+  done;
+  h
+
+let show_new h = List.map (Format.asprintf "%a" S.pp_violation) (S.check h)
+let show_reference h = List.map (Format.asprintf "%a" R.pp_violation) (R.check h)
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"check returns the reference checker's violations"
+    ~count:2000
+    QCheck.(int_bound 1_000_000_000)
+    (fun seed ->
+      let h = gen_random_history seed in
+      show_new h = show_reference h)
+
+(* The generator reaches every verdict, so the property above compares
+   more than empty lists. *)
+let test_random_histories_cover_every_violation () =
+  let seen = Hashtbl.create 8 in
+  for seed = 0 to 999 do
+    List.iter
+      (fun v ->
+        Hashtbl.replace seen
+          (match v with
+          | S.Read_from_uncommitted _ -> "read-from-uncommitted"
+          | S.Applied_but_aborted _ -> "applied-but-aborted"
+          | S.Divergent_install_order _ -> "divergent"
+          | S.Cycle _ -> "cycle")
+          ())
+      (S.check (gen_random_history seed))
+  done;
+  Alcotest.(check (list string)) "every kind"
+    [ "applied-but-aborted"; "cycle"; "divergent"; "read-from-uncommitted" ]
+    (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen []))
+
+(* ------------------------------------------------------------------ *)
+(* Linear cost, gated on allocation: words are exact and repeat from run
+   to run, so the gate does not depend on the machine's speed. *)
+
+(* [n] committed transactions over a key space of [n] keys, executed
+   serially and installed in the same order at 5 sites: 3 reads of the
+   latest versions and 3 writes each. *)
+let gen_scaling_history n =
+  let rng = Sim.Rng.create ~seed:n in
+  let h = H.create () in
+  let latest = Hashtbl.create n in
+  for i = 1 to n do
+    let t = txn (i mod 5) i in
+    H.begin_txn h t ~origin:(i mod 5);
+    for _ = 1 to 3 do
+      let key = Sim.Rng.int rng n in
+      H.record_read h t key ~from:(Hashtbl.find_opt latest key)
+    done;
+    let writes = List.init 3 (fun _ -> (Sim.Rng.int rng n, i)) in
+    H.record_writes h t writes;
+    List.iter (fun (key, _) -> Hashtbl.replace latest key t) writes;
+    H.record_outcome h t H.Committed;
+    for site = 0 to 4 do
+      H.record_apply h ~site t
+    done
+  done;
+  h
+
+(* Words allocated by [f], minor and directly-major alike (a large array
+   skips the minor heap). *)
+let allocated_words f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  f ();
+  let minor1, promoted1, major1 = Gc.counters () in
+  minor1 -. minor0 +. (major1 -. promoted1) -. (major0 -. promoted0)
+
+let words_per_txn check n =
+  let h = gen_scaling_history n in
+  allocated_words (fun () -> ignore (Sys.opaque_identity (check h)))
+  /. float_of_int n
+
+let test_check_allocation_is_linear () =
+  let small = words_per_txn S.check 500 and large = words_per_txn S.check 2000 in
+  let ratio = large /. small in
+  if ratio > 1.5 then
+    Alcotest.failf "words per txn grew %.2fx from n=500 (%.0f) to n=2000 (%.0f)"
+      ratio small large;
+  (* the gate has teeth: the reference checker's cost per txn grows with
+     the history *)
+  let small = words_per_txn R.check 125 and large = words_per_txn R.check 500 in
+  check_bool
+    (Printf.sprintf "reference grows %.2fx (%.0f -> %.0f words/txn)"
+       (large /. small) small large)
+    true
+    (large /. small > 1.5)
+
+(* ------------------------------------------------------------------ *)
 (* Convergence *)
 
 let test_convergence () =
@@ -370,6 +563,11 @@ let () =
           tc "inconsistent RO cut" `Quick test_ro_inconsistent_cut_caught;
           QCheck_alcotest.to_alcotest prop_serial_accepted;
           QCheck_alcotest.to_alcotest prop_swapped_install_rejected;
+          QCheck_alcotest.to_alcotest prop_matches_reference;
+          tc "random histories reach every violation" `Quick
+            test_random_histories_cover_every_violation;
+          tc "allocation is linear in the history" `Quick
+            test_check_allocation_is_linear;
         ] );
       ( "convergence",
         [
